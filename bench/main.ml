@@ -420,13 +420,15 @@ let run_wd_scaling () =
       let n = Graph.num_vertices g and m = Graph.num_edges g in
       let seed_wd, seed_dt = best_of_runs reps (fun () -> Seed_paths.compute g) in
       log_timing ~name:"wd-seed" ~circuit:name ~domains:1 seed_dt;
-      let seq_wd, seq_dt = best_of_runs reps (fun () -> Paths.compute g) in
+      let seq_wd, seq_dt = best_of_runs reps (fun () -> Paths.compute ~mode:Paths.Mode.Dense g) in
       log_timing ~name:"wd-csr" ~circuit:name ~domains:1 seq_dt;
       let pool_results =
         List.map
           (fun domains ->
             Lacr_util.Pool.with_pool ~size:domains (fun pool ->
-                let wd, dt = best_of_runs reps (fun () -> Paths.compute ~pool g) in
+                let wd, dt =
+                  best_of_runs reps (fun () -> Paths.compute ~mode:Paths.Mode.Dense ~pool g)
+                in
                 log_timing ~name:"wd-csr" ~circuit:name ~domains dt;
                 (wd, dt)))
           domain_counts
@@ -488,7 +490,7 @@ let run_scale () =
     let spec = Synth.hier_spec ~units name in
     let netlist = Synth.generate_hier spec in
     let paths_mode = match mode with "dense" -> Paths.Mode.Dense | _ -> Paths.Mode.Stream in
-    let config = { Config.default with Config.paths_mode = paths_mode } in
+    let config = Config.default in
     Pool.with_pool ~size:domains (fun pool ->
         let vertices = ref 0 in
         let stage c_stage ?(pairs_of = fun _ -> 0) f =
@@ -591,7 +593,7 @@ let run_scale_u () =
   let name = Printf.sprintf "hier:%d" units in
   let spec = Synth.hier_spec ~units name in
   let netlist = Synth.generate_hier spec in
-  let config = { Config.default with Config.paths_mode = Paths.Mode.Stream } in
+  let config = Config.default in
   Pool.with_pool ~size:domains (fun pool ->
       let inst =
         match Build.build ~config ~pool netlist with
@@ -599,7 +601,7 @@ let run_scale_u () =
         | Error msg -> failwith (name ^ ": " ^ msg)
       in
       let g = inst.Build.graph in
-      let wd = Paths.compute ~mode:Paths.Mode.Stream ~pool g in
+      let wd = Paths.compute ~pool g in
       let extra = inst.Build.pin_constraints in
       let mp = Feasibility.min_period ~extra g wd in
       let t_init = Graph.clock_period g in
@@ -656,7 +658,7 @@ let run_scale_u () =
     let name = Printf.sprintf "hier:%d" units in
     let spec = Synth.hier_spec ~units name in
     let netlist = Synth.generate_hier spec in
-    let config = { Config.default with Config.paths_mode = Paths.Mode.Stream } in
+    let config = Config.default in
     Printf.printf "\n%-12s %-20s %10s %12s %9s\n" "circuit" "stage" "ms" "minor(Mw)" "rss(MB)";
     Pool.with_pool ~size:domains (fun pool ->
         let vertices = ref 0 in
@@ -695,7 +697,7 @@ let run_scale_u () =
               | Error msg -> failwith (name ^ ": " ^ msg))
         in
         let g = inst.Build.graph in
-        let wd = stage "paths.compute" (fun () -> Paths.compute ~mode:Paths.Mode.Stream ~pool g) in
+        let wd = stage "paths.compute" (fun () -> Paths.compute ~pool g) in
         let extra = inst.Build.pin_constraints in
         let mp = stage "min_period" (fun () -> Feasibility.min_period ~extra g wd) in
         let t_init = Graph.clock_period g in

@@ -56,7 +56,7 @@ let default =
     n_max = 8;
     max_wr = 30;
     prune_constraints = true;
-    paths_mode = Lacr_retime.Paths.Mode.Auto;
+    paths_mode = Lacr_retime.Paths.Mode.Stream;
     domains = 1;
     sanitize = false;
   }

@@ -48,13 +48,10 @@ type t = {
   max_wr : int;  (** hard cap on weighted min-area calls *)
   prune_constraints : bool;
   paths_mode : Lacr_retime.Paths.Mode.t;
-      (** (W,D) path-matrix backend: [Dense] materializes the full
-          n x n matrices, [Stream] keeps only the period-violating
-          frontier (memory-bounded, required past ~10^4 vertices),
-          [Auto] (default) picks dense below
-          {!Lacr_retime.Paths.auto_cutoff} vertices and streamed
-          above.  Both backends produce bit-identical constraint
-          systems and plans. *)
+      (** (W,D) backend a benchmark driver asks {!Lacr_retime.Paths.compute}
+          for; default [Stream].  The planner ignores it: every plan
+          runs on the streamed frontier, and [Dense] is only the
+          all-pairs reference for tests and benchmarks. *)
   (* -- execution -- *)
   domains : int;
       (** worker domains for the parallel kernels (global routing,

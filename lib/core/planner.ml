@@ -130,7 +130,7 @@ let retiming_setup ?pool ?(trace = Obs.disabled) (inst : Build.instance) =
   let g = inst.Build.graph in
   let t_init = Graph.clock_period g in
   let cfg = inst.Build.config in
-  let wd = Paths.compute ~mode:cfg.Config.paths_mode ?pool ~trace g in
+  let wd = Paths.compute ?pool ~trace g in
   let extra = inst.Build.pin_constraints in
   let mp =
     Obs.with_span trace ~cat:"core" "feasibility.min_period" (fun () ->
@@ -180,15 +180,16 @@ let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
           (* The expanded floorplan changes interconnect delays; the
              original T_clk may no longer be feasible (the paper's
              s1269 case).  Generate fresh constraints at the same
-             T_clk and report infeasibility honestly.  The resident
+             T_clk and report infeasibility honestly.  The period is
+             already fixed, so no (W,D) pass is needed: the
+             constraints come straight from the graph.  The resident
              [session] solver belongs to the first-iteration
              constraint system, so the re-plan always compiles its
              own. *)
-          let g2 = instance2.Build.graph in
-          let wd2 = Paths.compute ~mode:config.Config.paths_mode ~pool ~trace g2 in
           let constraints2 =
-            Constraints.generate ~prune:config.Config.prune_constraints
-              ~extra:instance2.Build.pin_constraints ~pool ~trace g2 wd2 ~period:t_clk
+            Constraints.generate_at ~prune:config.Config.prune_constraints
+              ~extra:instance2.Build.pin_constraints ~pool ~trace instance2.Build.graph
+              ~period:t_clk
           in
           let lac2 = Lac.retime ~pool ~obs:trace instance2 constraints2 in
           Some (Ok { instance2; lac2 })

@@ -67,13 +67,16 @@ val generate :
     content {e and} order — is identical for every pool size, and
     bit-identical to the seed's list assembly ({!reference_list}).
 
-    On the streamed backend the frontier gates the per-source sweeps:
-    inside the retention window, sources whose frontier rows show no
-    pair violating [period] are provably constraint-free and are
-    skipped without a Dijkstra (see [Paths.source_pass_flat]) — the
-    emitted system is unchanged; only the wall clock and the
-    [constraints.sources_scanned] counter (now "sources actually
-    swept") reflect the gate.
+    Every system comes from one pipeline: the period-violating pairs
+    are enumerated directly from the graph, one Dijkstra plus
+    tight-DAG sweep per source ([Paths.source_pass_flat]), then pruned
+    target-side and emitted.  [wd] only gates the sweeps: on the
+    streamed backend, inside the retention window, sources whose
+    frontier rows show no pair violating [period] are provably
+    constraint-free and are skipped — the emitted system is unchanged;
+    only the wall clock and the [constraints.sources_scanned] counter
+    ("sources actually swept") reflect the gate.  The dense backend
+    gates nothing.
 
     [trace] (default disabled) wraps generation in a
     [constraints.generate] span and records the
@@ -82,6 +85,20 @@ val generate :
     [constraints.period] counts (carried by the emitters — no
     [List.length]); aggregates are bit-identical for every pool
     size. *)
+
+val generate_at :
+  ?prune:bool ->
+  ?extra:Lacr_mcmf.Difference.constr list ->
+  ?pool:Lacr_util.Pool.t ->
+  ?trace:Lacr_obs.Trace.ctx ->
+  Graph.t ->
+  period:float ->
+  t
+(** {!generate} with no (W,D) pass behind it: the same pipeline with
+    every source swept, for callers that know the period already — the
+    planner's second iteration re-generates at the first iteration's
+    [T_clk] this way.  [generate_at g ~period] equals
+    [generate g wd ~period] for every backend [wd] of [g]. *)
 
 val satisfied_by : t -> int array -> bool
 (** Every constraint checked over the flat arrays — no list walk. *)

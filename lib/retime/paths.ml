@@ -1,13 +1,5 @@
 module Mode = struct
-  type t = Auto | Dense | Stream
-
-  let to_string = function Auto -> "auto" | Dense -> "dense" | Stream -> "stream"
-
-  let of_string = function
-    | "auto" -> Some Auto
-    | "dense" -> Some Dense
-    | "stream" -> Some Stream
-    | _ -> None
+  type t = Dense | Stream
 end
 
 type dense = { w : int array array; d : float array array }
@@ -641,15 +633,11 @@ let compute_streamed ~pool ~trace g =
         arenas;
       Streamed { fn = n; threshold; fbound = bound; ffar = far_cut; row_off; fdst; fwgt; fdly })
 
-let auto_cutoff = 4096
-
-let compute ?(mode = Mode.Dense) ?(pool = Lacr_util.Pool.sequential)
+let compute ?(mode = Mode.Stream) ?(pool = Lacr_util.Pool.sequential)
     ?(trace = Lacr_obs.Trace.disabled) g =
-  let n = Graph.num_vertices g in
-  let stream =
-    match mode with Mode.Dense -> false | Mode.Stream -> true | Mode.Auto -> n > auto_cutoff
-  in
-  if stream then compute_streamed ~pool ~trace g else compute_dense ~pool ~trace g
+  match mode with
+  | Mode.Stream -> compute_streamed ~pool ~trace g
+  | Mode.Dense -> compute_dense ~pool ~trace g
 
 let num_vertices = function Dense { w; _ } -> Array.length w | Streamed fr -> fr.fn
 
@@ -662,11 +650,6 @@ let frontier_weight fr u v =
     if vm = v then found := mid else if vm < v then lo := mid + 1 else hi := mid - 1
   done;
   if !found < 0 then None else Some fr.fwgt.(!found)
-
-let reachable wd u v =
-  match wd with
-  | Dense { w; _ } -> w.(u).(v) <> max_int
-  | Streamed _ -> invalid_arg "Paths.reachable: dense backend only"
 
 let iter_pairs wd f =
   match wd with
@@ -726,35 +709,6 @@ let distinct_delays wd =
     if i = !len - 1 || Float.compare sub.(i) sub.(i + 1) <> 0 then out := sub.(i) :: !out
   done;
   !out
-
-(* On-demand W rows with a small FIFO-evicting cache, for consumers
-   (dominance pruning on the streamed backend) that need random
-   W(x,v) access without the dense matrix.  Rows are exact Dijkstra
-   rows — pure functions of (g, x) — so cache policy cannot affect
-   any result, only speed.  Returned rows are shared: do not mutate. *)
-let weight_rows g =
-  let n = Graph.num_vertices g in
-  let off = Graph.csr_offsets g
-  and dst = Graph.csr_dst g
-  and wgt = Graph.csr_weight g in
-  let scratch = make_scratch n in
-  let slots = max 2 (min 64 (4_000_000 / max 1 n)) in
-  let keys = Array.make slots (-1) in
-  let rows = Array.make slots [||] in
-  let next = ref 0 in
-  fun u ->
-    let hit = ref (-1) in
-    for i = 0 to slots - 1 do
-      if !hit < 0 && keys.(i) = u then hit := i
-    done;
-    if !hit >= 0 then rows.(!hit)
-    else begin
-      let r = dijkstra_row ~off ~dst ~wgt ~n scratch u in
-      keys.(!next) <- u;
-      rows.(!next) <- r;
-      next := (!next + 1) mod slots;
-      r
-    end
 
 (* --- graph-direct dominance pruning ------------------------------- *)
 

@@ -1,4 +1,4 @@
-(** The W and D matrices of Leiserson-Saxe retiming, in two backends.
+(** The W and D matrices of Leiserson-Saxe retiming.
 
     For a path [p : u ~> v], [w(p)] is the sum of edge weights and
     [d(p)] the sum of vertex delays including both endpoints.  Then
@@ -8,39 +8,33 @@
     tight-edge DAG (tight edges cannot form a cycle because the circuit
     has no zero-weight cycle).
 
-    The {e dense} backend materializes the full [n x n] matrices —
-    exact, supports {!iter_pairs} and brute-force cross-checks, and
-    costs O(n^2) memory (~1.6 GB at n = 10^4, impossible at 10^5).
-    The {e streamed} backend keeps only the probe-relevant frontier.
-    Probed periods always lie in [[bound - 1e-9, clock_period]]: the
+    The planner runs one backend at every size: the {e streamed}
+    frontier, which keeps only the probe-relevant pairs.  Probed
+    periods always lie in [[bound - 1e-9, clock_period]]: the
     cycle-ratio bound caps them from below, and the identity retiming
     makes the initial clock period feasible, capping the min-period
     search from above.  So the frontier stores the {e near} band
     ([D] within the probe window) in full, and {e far} pairs ([D]
     beyond every probe, hence violating all of them uniformly) only
     after an exact dominance reduction: a far pair dominated by a far
-    tight-DAG predecessor that precedes it in the dense prune's
-    candidate order is implied by the survivor plus edge constraints
-    and is dropped by the dense prune at every probed period, so
-    removing it changes no pruned constraint list, no feasibility
-    verdict and no label vector.  Constraint generation does not read
-    the frontier at all: both the pruned and the unpruned streamed
-    lists are re-enumerated directly from the graph per source
-    ({!prune_source_pass} / {!candidate_rows}), so every constraint
-    system a caller can hold is bit-identical between the backends —
-    as are min-period results and plans (QCheck-enforced in the test
-    suite).  Only the throwaway probe systems inside the min-period
-    search read the frontier, and there the far reduction is
-    implication-equivalent: same verdicts, same labels. *)
+    tight-DAG predecessor is implied by the survivor plus edge
+    constraints, so removing it changes no feasibility verdict and no
+    label vector.  Constraint generation does not need the frontier:
+    every system is enumerated directly from the graph per source
+    ({!source_pass_flat}); the frontier only gates which sources are
+    swept.
+
+    The {e dense} backend ([~mode:Mode.Dense]) materializes the full
+    [n x n] matrices in O(n^2) memory.  It is the all-pairs reference
+    that tests and benchmarks check the frontier against ({!iter_pairs},
+    brute-force cross-checks); no planning path uses it.  Both backends
+    give the same min-period results, constraint systems and plans
+    (QCheck-enforced in the test suite). *)
 
 module Mode : sig
   type t =
-    | Auto  (** dense for small graphs, streamed past {!auto_cutoff} vertices *)
-    | Dense
-    | Stream
-
-  val to_string : t -> string
-  val of_string : string -> t option
+    | Dense  (** the all-pairs reference matrices *)
+    | Stream  (** the streamed frontier (default) *)
 end
 
 type dense = {
@@ -61,10 +55,6 @@ type frontier = {
 
 type wd = Dense of dense | Streamed of frontier
 
-val auto_cutoff : int
-(** Vertex count above which [Mode.Auto] switches to the streamed
-    backend (the dense matrices cross ~270 MB there). *)
-
 val compute :
   ?mode:Mode.t -> ?pool:Lacr_util.Pool.t -> ?trace:Lacr_obs.Trace.ctx -> Graph.t -> wd
 (** Sources are independent, so the rows fill in parallel over [pool]
@@ -75,9 +65,8 @@ val compute :
     frontier is stored canonically (sources ascending, targets
     ascending), so the result is bit-identical for every pool size.
 
-    [mode] defaults to [Mode.Dense] — the seed behaviour — so
-    existing callers are unchanged; the planner passes
-    [Config.paths_mode] through.
+    [mode] defaults to [Mode.Stream], the backend the planner uses;
+    [Mode.Dense] builds the all-pairs reference matrices.
 
     [trace] (default disabled) wraps the computation in a
     [paths.compute] span and accumulates [paths.rows] plus
@@ -101,9 +90,6 @@ val cycle_ratio_lower_bound : Graph.t -> float
     Bellman-Ford bit for bit).  This is both the min-period search
     pruner (re-exported by [Feasibility]) and the streamed frontier's
     retention threshold. *)
-
-val reachable : wd -> int -> int -> bool
-(** Dense backend only; @raise Invalid_argument on [Streamed]. *)
 
 val iter_pairs : wd -> (int -> int -> int -> float -> unit) -> unit
 (** [iter_pairs wd f] calls [f u v w_uv d_uv] on every reachable pair.
@@ -129,14 +115,6 @@ val distinct_delays : wd -> float list
     candidate list (the near band is retained in full).  Streams
     through a flat float buffer with in-place sort and adjacent
     dedup — no intermediate cons list. *)
-
-val weight_rows : Graph.t -> int -> int array
-(** [weight_rows g] is an on-demand W-row oracle with a small
-    FIFO-evicting row cache: [(weight_rows g) x] returns the exact
-    Dijkstra row of source [x] (shared — do not mutate).  Cache policy
-    cannot affect results, only speed; exposed for cross-checks and
-    consumers that need occasional random W access without the dense
-    matrices. *)
 
 type prune_rows = { rows : (int * int) array array; n_candidates : int }
 (** Source-side prune survivors: [rows.(u)] lists the surviving

@@ -571,3 +571,33 @@ let suite =
       Alcotest.test_case "injected clock drives exec_seconds" `Quick test_injected_clock;
       Alcotest.test_case "growth table sorted by name" `Slow test_growth_table_sorted_by_name;
     ]
+
+(* One backend, one (W,D) pass: a traced plan of s386 — which runs the
+   floorplan-expansion second iteration — must record exactly one
+   [paths.compute] span, on the streamed backend.  The second iteration
+   re-generates its constraints at the known T_clk straight from the
+   graph, without a (W,D) pass of its own. *)
+let test_plan_single_streamed_paths_pass () =
+  let netlist = Option.get (Suite.by_name "s386") in
+  let trace = Lacr_obs.Trace.create () in
+  match Planner.plan ~trace netlist with
+  | Error msg -> Alcotest.failf "s386 plan: %s" msg
+  | Ok run ->
+    check "s386 runs a second iteration" true (run.Planner.second <> None);
+    let spans =
+      List.concat_map snd (Lacr_obs.Trace.events trace)
+      |> List.filter (fun (e : Lacr_obs.Trace.event) -> e.Lacr_obs.Trace.ev_name = "paths.compute")
+    in
+    check_int "one paths.compute span" 1 (List.length spans);
+    List.iter
+      (fun (e : Lacr_obs.Trace.event) ->
+        check "tagged mode=stream" true
+          (List.assoc_opt "mode" e.Lacr_obs.Trace.ev_attrs = Some (Lacr_obs.Trace.Str "stream")))
+      spans
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "plan runs one streamed (W,D) pass" `Slow
+        test_plan_single_streamed_paths_pass;
+    ]

@@ -218,9 +218,9 @@ let test_paths_wd_simple_chain () =
   let e src dst weight = { Graph.src; dst; weight } in
   let g = Graph.create ~delays ~edges:[ e 0 1 1; e 1 2 0; e 2 0 1 ] ~host:0 in
   let dn =
-    match Paths.compute g with
+    match Paths.compute ~mode:Paths.Mode.Dense g with
     | Paths.Dense dn -> dn
-    | Paths.Streamed _ -> Alcotest.fail "default compute must be dense"
+    | Paths.Streamed _ -> Alcotest.fail "Dense mode must produce dense matrices"
   in
   check_int "W(0,2)" 1 dn.Paths.w.(0).(2);
   check_float "D(1,2)" 5.0 dn.Paths.d.(1).(2);
@@ -523,17 +523,22 @@ let wd_equal (a : Paths.wd) (b : Paths.wd) =
     && Float.compare a.Paths.threshold b.Paths.threshold = 0
   | _ -> false
 
+let modes = [ Paths.Mode.Dense; Paths.Mode.Stream ]
+
 let prop_parallel_wd_bit_identical =
   QCheck2.Test.make ~count:40
     ~name:"parallel Paths.compute (2 and 4 domains) is bit-identical to sequential" graph_gen
     (fun params ->
       let g = make_graph params in
-      let sequential = Paths.compute g in
       List.for_all
-        (fun domains ->
-          Lacr_util.Pool.with_pool ~size:domains (fun pool ->
-              wd_equal sequential (Paths.compute ~pool g)))
-        [ 2; 4 ])
+        (fun mode ->
+          let sequential = Paths.compute ~mode g in
+          List.for_all
+            (fun domains ->
+              Lacr_util.Pool.with_pool ~size:domains (fun pool ->
+                  wd_equal sequential (Paths.compute ~mode ~pool g)))
+            [ 2; 4 ])
+        modes)
 
 let prop_parallel_wd_odd_pool =
   (* An odd pool size (uneven chunking, one worker more than cores on
@@ -541,9 +546,10 @@ let prop_parallel_wd_odd_pool =
   QCheck2.Test.make ~count:20 ~name:"parallel Paths.compute with an odd pool size" graph_gen
     (fun params ->
       let g = make_graph params in
-      let sequential = Paths.compute g in
       Lacr_util.Pool.with_pool ~size:3 (fun pool ->
-          wd_equal sequential (Paths.compute ~pool g)))
+          List.for_all
+            (fun mode -> wd_equal (Paths.compute ~mode g) (Paths.compute ~mode ~pool g))
+            modes))
 
 let test_pooled_constraints_identical () =
   (* Constraints.generate must return the same list — contents AND
@@ -570,9 +576,9 @@ let test_min_weights_row () =
   (* The exported single-row kernel must agree with the full matrix. *)
   let g = make_graph (8, 4242) in
   let dn =
-    match Paths.compute g with
+    match Paths.compute ~mode:Paths.Mode.Dense g with
     | Paths.Dense dn -> dn
-    | Paths.Streamed _ -> Alcotest.fail "default compute must be dense"
+    | Paths.Streamed _ -> Alcotest.fail "Dense mode must produce dense matrices"
   in
   for u = 0 to Graph.num_vertices g - 1 do
     check (Printf.sprintf "row %d" u) true (Paths.min_weights g u = dn.Paths.w.(u))
@@ -740,10 +746,12 @@ let test_stream_frontier_shape () =
 (* The tentpole contract: the arena-backed flat pipeline must emit the
    exact constraint sequence — same (a, b, bound) triples, same order —
    the seed's list assembly produced, for every backend, prune flag and
-   pool size.  [Constraints.reference_list] is that seed pipeline kept
-   verbatim; [to_list] is the flat system viewed as a list. *)
+   pool size, and so must the frontier-free [generate_at].
+   [Constraints.reference_list] is that seed pipeline kept verbatim;
+   [to_list] is the flat system viewed as a list. *)
 let prop_flat_matches_reference_list =
-  QCheck.Test.make ~name:"flat generate == seed reference list (backends x pools x prune)"
+  QCheck.Test.make
+    ~name:"flat generate == seed reference list (backends x pools x prune, and generate_at)"
     ~count:30
     QCheck.(pair (int_range 4 20) (int_range 0 1_000_000))
     (fun (n, seed) ->
@@ -760,14 +768,16 @@ let prop_flat_matches_reference_list =
           Lacr_util.Pool.with_pool ~size (fun pool ->
               let stream = Paths.compute ~mode:Paths.Mode.Stream ~pool g in
               List.for_all
-                (fun wd ->
+                (fun prune ->
+                  let at = Constraints.generate_at ~prune ~extra ~pool g ~period in
                   List.for_all
-                    (fun prune ->
-                      Constraints.to_list
-                        (Constraints.generate ~prune ~extra ~pool g wd ~period)
-                      = Constraints.reference_list ~prune ~extra ~pool g wd ~period)
-                    [ false; true ])
-                [ dense; stream ]))
+                    (fun wd ->
+                      let cs = Constraints.generate ~prune ~extra ~pool g wd ~period in
+                      cs = at
+                      && Constraints.to_list cs
+                         = Constraints.reference_list ~prune ~extra ~pool g wd ~period)
+                    [ dense; stream ])
+                [ false; true ]))
         [ 1; 2; 4 ])
 
 let test_flat_matches_reference_on_iscas () =

@@ -226,11 +226,17 @@ let test_pool_parallel_for_chunks_ranges () =
   Pool.with_pool ~size:3 (fun pool ->
       let n = 101 in
       let hits = Array.make n 0 in
+      (* Alcotest's [check] is not domain-safe, so a chunk only records
+         a bad range and the assertion runs on the calling domain once
+         the pool has joined. *)
+      let bounds_ok = Atomic.make true in
       Pool.parallel_for_chunks ~chunk:10 pool n (fun lo hi ->
-          check "range bounds" true (0 <= lo && lo < hi && hi <= n && hi - lo <= 10);
+          if not (0 <= lo && lo < hi && hi <= n && hi - lo <= 10) then
+            Atomic.set bounds_ok false;
           for i = lo to hi - 1 do
             hits.(i) <- hits.(i) + 1
           done);
+      check "range bounds" true (Atomic.get bounds_ok);
       check "chunked coverage" true (Array.for_all (( = ) 1) hits))
 
 let test_pool_parallel_sum () =
