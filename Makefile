@@ -27,9 +27,12 @@ smoke:
 	dune exec bin/lacr_cli.exe -- plan s27
 
 # Warm/cold solver cross-check: the successive-instance MCMF engine
-# must reproduce the cold per-round outcomes exactly.
+# must reproduce the cold per-round outcomes exactly, and so must a
+# resident solver on its second run (the min-area column is LAC round
+# 0, warm-started on a daemon cache hit).  s386 adds stale rounds.
 smoke-warm:
 	dune exec bin/lacr_cli.exe -- verify-warm s27
+	dune exec bin/lacr_cli.exe -- verify-warm s386
 
 # Observability smoke: a traced s27 plan must emit a valid Chrome
 # trace (monotone per-track timestamps, the pipeline's span names

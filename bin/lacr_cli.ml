@@ -262,16 +262,29 @@ let run_alpha circuit seed values =
 
 let run_verify_warm circuit seed =
   with_prepared circuit seed @@ fun inst cs ~t_clk:_ ->
-  match (Lac.retime ~reuse:false inst cs, Lac.retime inst cs) with
-  | Error msg, _ | _, Error msg ->
+  (* A resident solver (the daemon's cache) enters its second run with
+     the first run's final potentials; both columns of that run — the
+     min-area round 0 included — must still equal the cold ones. *)
+  let resident () =
+    match Lacr_retime.Min_area.compile inst.Build.graph cs with
+    | Error msg -> Error msg
+    | Ok session -> Result.bind (Lac.solve ~session inst cs) (fun _ -> Lac.solve ~session inst cs)
+  in
+  match (Lac.solve ~reuse:false inst cs, Lac.solve inst cs, resident ()) with
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
     Printf.eprintf "verify-warm %s: solver failed: %s\n" circuit msg;
     1
-  | Ok cold, Ok warm ->
-    let identical =
-      cold.Lac.labels = warm.Lac.labels && cold.Lac.n_foa = warm.Lac.n_foa
-      && cold.Lac.n_f = warm.Lac.n_f && cold.Lac.n_fn = warm.Lac.n_fn
-      && cold.Lac.trace = warm.Lac.trace
+  | Ok cold, Ok warm, Ok res ->
+    let same (a : Lac.outcome) (b : Lac.outcome) =
+      a.Lac.labels = b.Lac.labels && a.Lac.n_foa = b.Lac.n_foa && a.Lac.n_f = b.Lac.n_f
+      && a.Lac.n_fn = b.Lac.n_fn && a.Lac.trace = b.Lac.trace
     in
+    let identical =
+      List.for_all
+        (fun (s : Lac.solved) -> same cold.Lac.lac s.Lac.lac && same cold.Lac.minarea s.Lac.minarea)
+        [ warm; res ]
+    in
+    let cold = cold.Lac.lac and minarea = warm.Lac.minarea and warm = warm.Lac.lac in
     let warm_hits =
       List.length
         (List.filter
@@ -279,14 +292,15 @@ let run_verify_warm circuit seed =
            warm.Lac.solver)
     in
     Printf.printf
-      "verify-warm %s: rounds=%d warm_hits=%d cold=(N_FOA %d, N_F %d, N_FN %d) warm=(N_FOA \
-       %d, N_F %d, N_FN %d) -> %s\n"
-      inst.Build.circuit warm.Lac.n_wr warm_hits cold.Lac.n_foa cold.Lac.n_f cold.Lac.n_fn
-      warm.Lac.n_foa warm.Lac.n_f warm.Lac.n_fn
+      "verify-warm %s: rounds=%d warm_hits=%d min-area=(N_FOA %d, N_F %d) cold=(N_FOA %d, N_F \
+       %d, N_FN %d) warm=(N_FOA %d, N_F %d, N_FN %d) -> %s\n"
+      inst.Build.circuit warm.Lac.n_wr warm_hits minarea.Lac.n_foa minarea.Lac.n_f cold.Lac.n_foa
+      cold.Lac.n_f cold.Lac.n_fn warm.Lac.n_foa warm.Lac.n_f warm.Lac.n_fn
       (if identical then "identical" else "MISMATCH");
     if identical then 0
     else begin
-      prerr_endline "verify-warm: warm-started engine diverged from cold per-round compiles";
+      prerr_endline
+        "verify-warm: warm-started or resident engine diverged from cold per-round compiles";
       1
     end
 
@@ -405,13 +419,12 @@ let run_verify_constraints circuit seed domains =
 
 (* --- retime: export a retimed .bench --- *)
 
-let run_retime circuit seed slack output =
+let run_retime circuit slack output =
   match load_circuit circuit with
   | Error msg ->
     prerr_endline msg;
     1
   | Ok netlist ->
-    let config = config_with ?seed () in
     (match Lacr_netlist.Seqview.of_netlist netlist with
     | Error msg ->
       prerr_endline msg;
@@ -452,7 +465,6 @@ let run_retime circuit seed slack output =
               (Lacr_netlist.Netlist.num_dffs netlist)
               (Lacr_netlist.Netlist.num_dffs rebuilt)
           | None -> print_string text);
-          ignore config;
           0)))
 
 (* --- export-dot --- *)
@@ -727,8 +739,9 @@ let output_arg =
 
 let verify_warm_cmd =
   let doc =
-    "Cross-check the warm-started successive-instance LAC solver against cold per-round \
-     compiles (exits non-zero on any outcome mismatch)."
+    "Cross-check the warm-started successive-instance LAC solver, and a resident solver on \
+     its second run, against cold per-round compiles, min-area column included (exits \
+     non-zero on any outcome mismatch)."
   in
   Cmd.v (Cmd.info "verify-warm" ~doc) Term.(const run_verify_warm $ circuit_arg $ seed_arg)
 
@@ -751,7 +764,7 @@ let verify_constraints_cmd =
 let retime_cmd =
   let doc = "Min-area retime a circuit and emit the retimed .bench netlist." in
   Cmd.v (Cmd.info "retime" ~doc)
-    Term.(const run_retime $ circuit_arg $ seed_arg $ slack_arg $ output_arg)
+    Term.(const run_retime $ circuit_arg $ slack_arg $ output_arg)
 
 let dot_cmd =
   let doc = "Export the sequential view as Graphviz DOT." in

@@ -9,7 +9,7 @@ module Planner = Lacr_core.Planner
 module Build = Lacr_core.Build
 module Lac = Lacr_core.Lac
 module Config = Lacr_core.Config
-module Area = Lacr_core.Area
+module Problem = Lacr_core.Problem
 module Tilegraph = Lacr_tilegraph.Tilegraph
 
 let () =
@@ -38,7 +38,8 @@ let () =
       (Array.length inst.Build.blocks) hard_blocks
       (100.0 *. Lacr_floorplan.Floorplan.utilization inst.Build.floorplan);
     let show name (o : Lac.outcome) =
-      let report = Area.report inst ~labels:o.Lac.labels in
+      let problem = Problem.of_instance inst in
+      let consumption = Problem.consumption problem ~labels:o.Lac.labels in
       let kinds =
         List.map
           (fun (tile, _) ->
@@ -46,7 +47,7 @@ let () =
             | Tilegraph.Channel -> "channel"
             | Tilegraph.Hard_cell _ -> "hard"
             | Tilegraph.Soft_merged _ -> "soft")
-          report.Area.violated_tiles
+          (Problem.violated_tiles problem ~consumption)
       in
       let count k = List.length (List.filter (( = ) k) kinds) in
       Printf.printf "%-9s N_FOA=%-3d N_F=%-3d violated tiles: %d soft, %d hard, %d channel\n" name

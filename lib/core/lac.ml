@@ -13,6 +13,8 @@ type outcome = {
   solver : Lacr_mcmf.Mcmf.stats list;
 }
 
+type solved = { minarea : outcome; lac : outcome }
+
 let capacity_floor = 0.25
 
 (* Tiny area bias against interconnect-resident flip-flops: a register
@@ -27,40 +29,12 @@ let base_area (problem : Problem.t) =
     (fun inter -> if inter then 1.0 +. interconnect_bias else 1.0)
     problem.Problem.interconnect
 
-let outcome_of ?pool (problem : Problem.t) labels ~n_wr ~exec_seconds ~trace ~solver =
-  {
-    labels;
-    n_foa = Problem.violations problem ~labels;
-    n_f = Problem.ff_count ?pool problem ~labels;
-    n_fn = Problem.ff_in_interconnect ?pool problem ~labels;
-    n_wr;
-    exec_seconds;
-    trace;
-    solver;
-  }
-
 (* Timing draws from the observability context's clock ([clock]
    overrides it for tests): the one wall-clock source lives in
    [Trace], so [exec_seconds] is deterministic under an injected
    clock and the planner has a single clock-injection point. *)
 let resolve_clock ?clock obs =
   match clock with Some c -> c | None -> Obs.clock_of obs
-
-let min_area_baseline_problem ?clock ?pool ?(obs = Obs.disabled) (problem : Problem.t)
-    constraints =
-  Obs.with_span obs ~cat:"lac" "lac.minarea" @@ fun () ->
-  let clock = resolve_clock ?clock obs in
-  let start = clock () in
-  match
-    Min_area.solve_weighted ~trace:obs problem.Problem.graph constraints
-      ~area:(base_area problem)
-  with
-  | Error msg -> Error msg
-  | Ok solution ->
-    let exec_seconds = clock () -. start in
-    Ok
-      (outcome_of ?pool problem solution.Min_area.labels ~n_wr:1 ~exec_seconds ~trace:[]
-         ~solver:[ solution.Min_area.stats ])
 
 (* Area weight of a vertex = current weight of its tile (untiled
    vertices stay neutral), with the epsilon interconnect bias folded
@@ -114,7 +88,11 @@ let sanitize_round (problem : Problem.t) ~labels ~n_foa ~n_f =
              tile used problem.Problem.capacity.(tile)))
     consumption
 
-let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
+(* The one LAC loop.  Round 0 runs on uniform tile weights, so it {e
+   is} plain min-area retiming (paper §4.2, step 2): its outcome is the
+   Table-1 comparison column, taken here instead of from a second
+   compile and cold solve of the same system. *)
+let solve_problem ?clock ?(alpha = Config.default.Config.alpha)
     ?(n_max = Config.default.Config.n_max) ?(max_wr = Config.default.Config.max_wr)
     ?(reuse = true) ?session ?pool ?(obs = Obs.disabled) (problem : Problem.t) constraints =
   if alpha < 0.0 || alpha > 1.0 then invalid_arg "Lac.retime: alpha out of [0,1]";
@@ -129,6 +107,11 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
   let remaining tile = max capacity_floor problem.Problem.capacity.(tile) in
   let base = base_area problem in
   let area = Array.make n 0.0 in
+  let outcome ~labels ~n_foa ~n_f ~n_wr ~trace ~solver =
+    let n_fn = Problem.ff_in_interconnect ?pool problem ~labels in
+    { labels; n_foa; n_f; n_fn; n_wr; exec_seconds = clock () -. start; trace; solver }
+  in
+  let minarea = ref None in
   let best = ref None in
   let trace = ref [] in
   let solver = ref [] in
@@ -179,13 +162,16 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
       | Error msg -> Error msg
       | Ok solution ->
         let labels = solution.Min_area.labels in
-        let n_foa = Problem.violations problem ~labels in
+        let st = solution.Min_area.stats in
+        (* AC(t) once per round: it gives N_FOA and drives the
+           re-weighting. *)
+        let consumption = Problem.consumption problem ~labels in
+        let n_foa = Problem.violations_of problem ~consumption in
         trace := (n_foa, solution.Min_area.ff_area) :: !trace;
-        solver := solution.Min_area.stats :: !solver;
+        solver := st :: !solver;
         let n_f = Problem.ff_count ?pool problem ~labels in
         if Lacr_util.Sanitize.enabled () then sanitize_round problem ~labels ~n_foa ~n_f;
         if Obs.enabled obs then begin
-          let st = solution.Min_area.stats in
           Obs.span_attr obs "n_foa" (Obs.Int n_foa);
           Obs.span_attr obs "ff_area" (Obs.Float solution.Min_area.ff_area);
           Obs.span_attr obs "phases" (Obs.Int st.Lacr_mcmf.Mcmf.phases);
@@ -195,6 +181,8 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
           Obs.incr (Obs.counter obs "lac.rounds");
           Obs.add (Obs.counter obs "lac.violations") n_foa
         end;
+        if n_wr = 0 then
+          minarea := Some (outcome ~labels ~n_foa ~n_f ~n_wr:1 ~trace:[] ~solver:[ st ]);
         let improved =
           match !best with
           | None -> true
@@ -206,10 +194,9 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
           stale := 0
         end
         else incr stale;
-        if n_foa = 0 || !stale > n_max then Ok `Done
+        if n_foa = 0 || !stale > n_max || n_wr + 1 >= max_wr then Ok `Done
         else begin
           (* Paper step 6: New weight = Old * ((1-alpha) + alpha*AC/C). *)
-          let consumption = Problem.consumption problem ~labels in
           Array.iteri
             (fun tile used ->
               let ratio = used /. remaining tile in
@@ -237,24 +224,40 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
     (match iterate 0 with
     | Error msg -> Error msg
     | Ok () ->
-      let exec_seconds = clock () -. start in
-      (match !best with
-      | None -> Error "LAC-retiming: no iteration completed"
-      | Some (_, labels, _) ->
-        Ok
-          (outcome_of ?pool problem labels ~n_wr:(List.length !trace) ~exec_seconds
-             ~trace:(List.rev !trace) ~solver:(List.rev !solver))))
+      (match (!minarea, !best) with
+      | Some minarea, Some (n_foa, labels, n_f) ->
+        let lac =
+          outcome ~labels ~n_foa ~n_f ~n_wr:(List.length !trace) ~trace:(List.rev !trace)
+            ~solver:(List.rev !solver)
+        in
+        Ok { minarea; lac }
+      | _ -> Error "LAC-retiming: no iteration completed"))
+
+let retime_problem ?clock ?alpha ?n_max ?max_wr ?reuse ?session ?pool ?obs problem constraints =
+  Result.map
+    (fun s -> s.lac)
+    (solve_problem ?clock ?alpha ?n_max ?max_wr ?reuse ?session ?pool ?obs problem constraints)
+
+let min_area_baseline_problem ?clock ?pool ?obs problem constraints =
+  Result.map
+    (fun s -> s.minarea)
+    (solve_problem ?clock ~max_wr:1 ?pool ?obs problem constraints)
 
 (* --- instance-facing wrappers --- *)
 
-let min_area_baseline ?clock ?pool ?obs (inst : Build.instance) constraints =
-  min_area_baseline_problem ?clock ?pool ?obs (Problem.of_instance inst) constraints
-
-let retime ?clock ?alpha ?n_max ?max_wr ?reuse ?session ?pool ?obs (inst : Build.instance)
+let solve ?clock ?alpha ?n_max ?max_wr ?reuse ?session ?pool ?obs (inst : Build.instance)
     constraints =
   let cfg = inst.Build.config in
-  let alpha = match alpha with Some a -> a | None -> cfg.Config.alpha in
-  let n_max = match n_max with Some n -> n | None -> cfg.Config.n_max in
-  let max_wr = match max_wr with Some n -> n | None -> cfg.Config.max_wr in
-  retime_problem ?clock ~alpha ~n_max ~max_wr ?reuse ?session ?pool ?obs
+  let alpha = Option.value alpha ~default:cfg.Config.alpha in
+  let n_max = Option.value n_max ~default:cfg.Config.n_max in
+  let max_wr = Option.value max_wr ~default:cfg.Config.max_wr in
+  solve_problem ?clock ~alpha ~n_max ~max_wr ?reuse ?session ?pool ?obs
     (Problem.of_instance inst) constraints
+
+let retime ?clock ?alpha ?n_max ?max_wr ?reuse ?session ?pool ?obs inst constraints =
+  Result.map
+    (fun s -> s.lac)
+    (solve ?clock ?alpha ?n_max ?max_wr ?reuse ?session ?pool ?obs inst constraints)
+
+let min_area_baseline ?clock ?pool ?obs (inst : Build.instance) constraints =
+  min_area_baseline_problem ?clock ?pool ?obs (Problem.of_instance inst) constraints

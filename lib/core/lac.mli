@@ -19,6 +19,12 @@
     ([Lacr_retime.Min_area.solve_compiled]).  Per-round solver
     counters land in {!outcome.solver}.
 
+    Round 0 runs on uniform tile weights, so it is plain min-area
+    retiming — the comparison column of Table 1.  One loop per
+    constraint system ({!solve}) therefore yields both outcomes, and
+    {!min_area_baseline} is that loop stopped after round 0: the
+    module has a single solve site.
+
     Tiles with (near-)zero capacity use a small floor so the ratio
     stays finite; weights are clamped to a generous ceiling. *)
 
@@ -38,6 +44,28 @@ type outcome = {
           hit) — the observability hook for the warm-started engine *)
 }
 
+type solved = {
+  minarea : outcome;
+      (** round 0: [n_wr = 1], [trace = \[\]], [solver] = round 0's
+          counters, [exec_seconds] = compile plus round 0 *)
+  lac : outcome;  (** the best round *)
+}
+
+val solve :
+  ?clock:(unit -> float) ->
+  ?alpha:float ->
+  ?n_max:int ->
+  ?max_wr:int ->
+  ?reuse:bool ->
+  ?session:Lacr_retime.Min_area.compiled ->
+  ?pool:Lacr_util.Pool.t ->
+  ?obs:Lacr_obs.Trace.ctx ->
+  Build.instance ->
+  Lacr_retime.Constraints.t ->
+  (solved, string) result
+(** One LAC run, both Table-1 outcomes: min-area (round 0) and
+    LAC-retiming (the best round).  Arguments as for {!retime}. *)
+
 val min_area_baseline :
   ?clock:(unit -> float) ->
   ?pool:Lacr_util.Pool.t ->
@@ -46,7 +74,9 @@ val min_area_baseline :
   Lacr_retime.Constraints.t ->
   (outcome, string) result
 (** Plain (unit-weight) min-area retiming plus violation accounting —
-    the comparison column of Table 1.  [n_wr = 1]. *)
+    the comparison column of Table 1: {!solve} with [max_wr = 1],
+    compiled and solved cold.  Equal to [(solve ...).minarea] of any
+    full run over the same system. *)
 
 val retime :
   ?clock:(unit -> float) ->

@@ -73,7 +73,8 @@ let growth_table (inst : Build.instance) (outcome : Lac.outcome) =
      the repeaters already parked there: a tile overfull from
      repeaters alone leaves C(t) = 0, so its resident flip-flops can
      never become legal without more block area. *)
-  let report = Area.report inst ~labels:outcome.Lac.labels in
+  let problem = Problem.of_instance inst in
+  let consumption = Problem.consumption problem ~labels:outcome.Lac.labels in
   let tiles = Tilegraph.tiles inst.Build.tilegraph in
   (* Max-merge into an association list: when several violated tiles
      map to one block (a block spanning tiles, or duplicate report
@@ -96,7 +97,7 @@ let growth_table (inst : Build.instance) (outcome : Lac.outcome) =
       | Tilegraph.Soft_merged b ->
         let name = inst.Build.blocks.(b).Lacr_floorplan.Block.name in
         let full_excess =
-          report.Area.consumption.(tile)
+          consumption.(tile)
           +. Occupancy.used inst.Build.occupancy tile
           -. tiles.(tile).Tilegraph.capacity
         in
@@ -118,7 +119,7 @@ let growth_table (inst : Build.instance) (outcome : Lac.outcome) =
           record name factor
         end
       | Tilegraph.Channel | Tilegraph.Hard_cell _ -> ())
-    report.Area.violated_tiles;
+    (Problem.violated_tiles problem ~consumption);
   List.sort (fun (a, _) (b, _) -> String.compare a b) !by_block
 
 let growth_for inst outcome =
@@ -158,12 +159,11 @@ let prepare_with_pool ~pool ~trace instance netlist =
 let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
   let { p_netlist = netlist; p_instance = instance; p_t_clk = t_clk; _ } = prepared in
   let config = instance.Build.config in
-  (match
-     ( Lac.min_area_baseline ~pool ~obs:trace instance prepared.p_constraints,
-       Lac.retime ?session ~pool ~obs:trace instance prepared.p_constraints )
-   with
-  | Error msg, _ | _, Error msg -> Error msg
-  | Ok minarea, Ok lac ->
+  (* One LAC run gives both columns: its round 0 is the min-area
+     retiming. *)
+  match Lac.solve ?session ~pool ~obs:trace instance prepared.p_constraints with
+  | Error msg -> Error msg
+  | Ok { Lac.minarea; lac } ->
     let second =
       if (not second_iteration) || lac.Lac.n_foa = 0 then None
       else
@@ -203,7 +203,7 @@ let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
         minarea;
         lac;
         second;
-      })
+      }
 
 (* [sanitize] widens, never narrows: LACR_SANITIZE=1 in the
    environment stays in force even when the config says [false]. *)
@@ -257,5 +257,4 @@ let plan_prepared ?(second_iteration = true) ?session ?(trace = Obs.disabled) pr
       plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared)
 
 let compile_solver prepared =
-  Lacr_retime.Min_area.compile (Problem.of_instance prepared.p_instance).Problem.graph
-    prepared.p_constraints
+  Lacr_retime.Min_area.compile prepared.p_instance.Build.graph prepared.p_constraints

@@ -33,16 +33,24 @@ let consumption t ~labels =
     (Graph.edges t.graph);
   acc
 
-let violations t ~labels =
-  let acc = consumption t ~labels in
-  let total = ref 0 in
+(* Tiles are few (hundreds), so the list and its sort cost nothing
+   next to the edge walk in [consumption]. *)
+let violated_tiles t ~consumption =
+  let violated = ref [] in
   Array.iteri
     (fun tile used ->
       let excess = used -. max 0.0 t.capacity.(tile) in
-      if excess > 1e-9 then
-        total := !total + int_of_float (ceil ((excess /. t.ff_area) -. 1e-9)))
-    acc;
-  !total
+      if excess > 1e-9 then violated := (tile, excess) :: !violated)
+    consumption;
+  List.sort (fun (_, a) (_, b) -> compare b a) !violated
+
+let violations_of t ~consumption =
+  List.fold_left
+    (fun total (_, excess) -> total + int_of_float (ceil ((excess /. t.ff_area) -. 1e-9)))
+    0
+    (violated_tiles t ~consumption)
+
+let violations t ~labels = violations_of t ~consumption:(consumption t ~labels)
 
 (* Integer reductions over the edge set: per-chunk partial sums make
    them exact and deterministic under any pool size. *)

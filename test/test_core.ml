@@ -3,7 +3,7 @@
    determinism, reporting. *)
 
 module Build = Lacr_core.Build
-module Area = Lacr_core.Area
+module Problem = Lacr_core.Problem
 module Lac = Lacr_core.Lac
 module Planner = Lacr_core.Planner
 module Report = Lacr_core.Report
@@ -67,8 +67,9 @@ let test_interconnect_delay_positive () =
 
 let test_area_accounting_consistent () =
   let inst = build_small () in
+  let problem = Problem.of_instance inst in
   let identity = Array.make (Graph.num_vertices inst.Build.graph) 0 in
-  let consumption = Area.consumption inst ~labels:identity in
+  let consumption = Problem.consumption problem ~labels:identity in
   let total_charged = Array.fold_left ( +. ) 0.0 consumption in
   (* Every flip-flop has a tile except those on host edges (none under
      identity, since the host is isolated). *)
@@ -76,8 +77,8 @@ let test_area_accounting_consistent () =
   let expected = float_of_int (Graph.total_ffs inst.Build.graph) *. ff_area in
   check "all ffs charged" true (abs_float (total_charged -. expected) < 1e-6);
   check_int "ff_count matches graph" (Graph.total_ffs inst.Build.graph)
-    (Area.ff_count inst ~labels:identity);
-  check_int "identity has no wire ffs" 0 (Area.ff_in_interconnect inst ~labels:identity)
+    (Problem.ff_count problem ~labels:identity);
+  check_int "identity has no wire ffs" 0 (Problem.ff_in_interconnect problem ~labels:identity)
 
 let setup_constraints inst =
   let g = inst.Build.graph in
@@ -435,7 +436,25 @@ let test_growth_table_order_independent () =
         (Planner.growth_for inst run.Planner.minarea name = factor))
     table;
   check "unknown block grows by zero" true
-    (Planner.growth_for inst run.Planner.minarea "no-such-block" = 0.0)
+    (Planner.growth_for inst run.Planner.minarea "no-such-block" = 0.0);
+  (* The violated-tile list the table is built from is the N_FOA
+     ledger itself: its per-tile flip-flop excesses sum to N_FOA. *)
+  let problem = Problem.of_instance inst in
+  let labels = run.Planner.minarea.Lac.labels in
+  let violated =
+    Problem.violated_tiles problem ~consumption:(Problem.consumption problem ~labels)
+  in
+  check "violated tiles worst first" true
+    (List.stable_sort (fun (_, a) (_, b) -> compare b a) violated = violated);
+  let excess_ffs =
+    List.fold_left
+      (fun total (_, excess) ->
+        total + int_of_float (ceil ((excess /. problem.Problem.ff_area) -. 1e-9)))
+      0 violated
+  in
+  check "stressed min-area violates" true (violated <> []);
+  check_int "excess ffs sum to N_FOA" (Problem.violations problem ~labels) excess_ffs;
+  check_int "N_FOA matches the outcome" run.Planner.minarea.Lac.n_foa excess_ffs
 
 let test_repeater_saturated_tile_zero_capacity () =
   (* Direct C(t) = 0 check: a two-vertex cycle carrying two flip-flops,
@@ -450,7 +469,7 @@ let test_repeater_saturated_tile_zero_capacity () =
   in
   let problem capacity =
     {
-      Lacr_core.Problem.graph = g;
+      Problem.graph = g;
       vertex_tile = [| 0; 0; -1 |];
       n_tiles = 1;
       capacity = [| capacity |];
@@ -460,12 +479,12 @@ let test_repeater_saturated_tile_zero_capacity () =
   in
   let labels = [| 0; 0; 0 |] in
   check_int "saturated tile counts every ff" 2
-    (Lacr_core.Problem.violations (problem 0.0) ~labels);
+    (Problem.violations (problem 0.0) ~labels);
   (* Over-subscription (negative remaining capacity) clamps to zero
      rather than double-charging. *)
   check_int "negative capacity clamps" 2
-    (Lacr_core.Problem.violations (problem (-3.5)) ~labels);
-  check_int "roomy tile has none" 0 (Lacr_core.Problem.violations (problem 2.0) ~labels);
+    (Problem.violations (problem (-3.5)) ~labels);
+  check_int "roomy tile has none" 0 (Problem.violations (problem 2.0) ~labels);
   (* The re-weighting loop must stay finite on the zero-capacity ratio
      (capacity floor) and return the best labelling it saw. *)
   let p = problem 0.0 in
@@ -515,7 +534,7 @@ let clock_problem () =
   in
   let p =
     {
-      Lacr_core.Problem.graph = g;
+      Problem.graph = g;
       vertex_tile = [| 0; 0; -1 |];
       n_tiles = 1;
       capacity = [| 4.0 |];
@@ -576,7 +595,10 @@ let suite =
    floorplan-expansion second iteration — must record exactly one
    [paths.compute] span, on the streamed backend.  The second iteration
    re-generates its constraints at the known T_clk straight from the
-   graph, without a (W,D) pass of its own. *)
+   graph, without a (W,D) pass of its own.  One solve per round, too:
+   the min-area column is the first LAC run's round 0, so the plan
+   cold-starts the flow solver once per constraint system (two) and
+   runs no solve outside a [lac.round]. *)
 let test_plan_single_streamed_paths_pass () =
   let netlist = Option.get (Suite.by_name "s386") in
   let trace = Lacr_obs.Trace.create () in
@@ -584,16 +606,42 @@ let test_plan_single_streamed_paths_pass () =
   | Error msg -> Alcotest.failf "s386 plan: %s" msg
   | Ok run ->
     check "s386 runs a second iteration" true (run.Planner.second <> None);
-    let spans =
-      List.concat_map snd (Lacr_obs.Trace.events trace)
-      |> List.filter (fun (e : Lacr_obs.Trace.event) -> e.Lacr_obs.Trace.ev_name = "paths.compute")
+    let events = List.concat_map snd (Lacr_obs.Trace.events trace) in
+    let named name =
+      List.filter (fun (e : Lacr_obs.Trace.event) -> e.Lacr_obs.Trace.ev_name = name) events
     in
+    let spans = named "paths.compute" in
     check_int "one paths.compute span" 1 (List.length spans);
     List.iter
       (fun (e : Lacr_obs.Trace.event) ->
         check "tagged mode=stream" true
           (List.assoc_opt "mode" e.Lacr_obs.Trace.ev_attrs = Some (Lacr_obs.Trace.Str "stream")))
-      spans
+      spans;
+    check_int "no lac.minarea span" 0 (List.length (named "lac.minarea"));
+    let counter name =
+      Option.value ~default:0 (List.assoc_opt name (Lacr_obs.Trace.counter_totals trace))
+    in
+    check_int "one cold start per constraint system" 2 (counter "mcmf.cold_starts");
+    check_int "one solve per LAC round" (counter "lac.rounds") (counter "mcmf.solves");
+    (* The round-0 column equals a standalone min-area run on the same
+       prepared system. *)
+    let prepared =
+      match Planner.prepare netlist with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "s386 prepare: %s" (Planner.error_message e)
+    in
+    match
+      Lac.min_area_baseline prepared.Planner.p_instance prepared.Planner.p_constraints
+    with
+    | Error msg -> Alcotest.failf "s386 min-area: %s" msg
+    | Ok ma ->
+      let col = run.Planner.minarea in
+      check "min-area labels" true (col.Lac.labels = ma.Lac.labels);
+      check_int "min-area N_FOA" ma.Lac.n_foa col.Lac.n_foa;
+      check_int "min-area N_F" ma.Lac.n_f col.Lac.n_f;
+      check_int "min-area N_FN" ma.Lac.n_fn col.Lac.n_fn;
+      check_int "min-area n_wr" 1 col.Lac.n_wr;
+      check "min-area trace empty" true (col.Lac.trace = [])
 
 let suite =
   suite
