@@ -29,10 +29,13 @@ smoke:
 # Warm/cold solver cross-check: the successive-instance MCMF engine
 # must reproduce the cold per-round outcomes exactly, and so must a
 # resident solver on its second run (the min-area column is LAC round
-# 0, warm-started on a daemon cache hit).  s386 adds stale rounds.
+# 0, warm-started on a daemon cache hit).  s386 adds stale rounds;
+# s953 is the heaviest LAC run of the suite (30 rounds, the most
+# blocking-flow work per round).
 smoke-warm:
 	dune exec bin/lacr_cli.exe -- verify-warm s27
 	dune exec bin/lacr_cli.exe -- verify-warm s386
+	dune exec bin/lacr_cli.exe -- verify-warm s953
 
 # Observability smoke: a traced s27 plan must emit a valid Chrome
 # trace (monotone per-track timestamps, the pipeline's span names

@@ -629,7 +629,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write flat metrics of the run (counters, histograms, per-stage span totals) as JSON, \
+          "Write flat metrics of the run (counters, histograms, span totals at every depth) as JSON, \
            or CSV when FILE ends in .csv. Counter aggregates are bit-identical for every \
            $(b,--domains) setting.")
 

@@ -9,6 +9,19 @@
    the hot paths.  Capacities and supplies stay floats (tile weights
    are real).
 
+   Each primal-dual phase costs in proportion to its admissible
+   subgraph, not to the network.  Potentials are fixed for a phase, so
+   once per phase the arcs of zero reduced cost are compacted into a
+   second CSR ([zrow]/[zarc], allocated at seal time, in the order of
+   the full CSR); the Dinic BFS and DFS walk only that CSR and test
+   capacity alone.  The BFS stops once it has labelled the sink, and
+   the other nodes it labelled at the sink's level are unlabelled
+   again: no node at or past that level lies on a level path to the
+   sink.  None
+   of this changes the operation sequence: the same admissible arcs are
+   visited in the same order, so phases, settles, pushes, flows and
+   potentials are those of the plain scan over the whole residual CSR.
+
    The instance is *reusable*: the first [solve] seals the arc set,
    snapshots capacities, appends one permanent super-source and
    super-sink arc pair per node (capacity set from the supply sign
@@ -42,6 +55,10 @@ type t = {
   mutable orig_cap : float array;  (* capacity snapshot of user arcs *)
   mutable csr_row : int array;
   mutable csr_arc : int array;
+  (* Per-phase admissible CSR: the arcs of zero reduced cost, in
+     [csr_arc] order, rebuilt once per phase (see [compact_zero_cost]). *)
+  mutable zrow : int array;
+  mutable zarc : int array;
   (* Scratch reused across solves and phases. *)
   mutable pi : int array;  (* potentials over n + 2 nodes *)
   mutable has_pi : bool;  (* pi holds a previous solve's optimum *)
@@ -70,6 +87,8 @@ let create n =
     orig_cap = [||];
     csr_row = [||];
     csr_arc = [||];
+    zrow = [||];
+    zarc = [||];
     pi = [||];
     has_pi = false;
     dist = [||];
@@ -174,6 +193,8 @@ let seal t =
     ignore (append_arc t ~src:v ~dst:sink ~capacity:0.0 ~cost:0 : int)
   done;
   build_csr t ~n_nodes;
+  t.zrow <- Array.make (n_nodes + 1) 0;
+  t.zarc <- Array.make (max 1 t.n_arcs) 0;
   t.pi <- Array.make n_nodes 0;
   t.dist <- Array.make n_nodes max_int;
   t.settled <- Array.make n_nodes false;
@@ -296,54 +317,86 @@ let dijkstra t ~source ~sink ~n_nodes ~settles =
    with Exit -> ());
   dist
 
-(* Dinic blocking flow restricted to residual arcs of zero reduced
-   cost (exact integer test).  BFS levels orient the zero-cost
-   subgraph; the DFS uses current-arc pointers.  The BFS frontier and
+(* The phase's potentials are fixed, so the arcs that can ever be
+   admissible in it are exactly those of zero reduced cost — a set
+   closed under reversal, so pushes never make another arc admissible.
+   Compact them once per phase into [zrow]/[zarc], keeping [csr_arc]
+   order; the blocking flow then walks only this CSR and tests
+   capacity alone.  Returns the number of compacted arcs. *)
+let compact_zero_cost t ~n_nodes =
+  let pi = t.pi and zrow = t.zrow and zarc = t.zarc in
+  let k = ref 0 in
+  for u = 0 to n_nodes - 1 do
+    zrow.(u) <- !k;
+    let pu = pi.(u) in
+    for slot = t.csr_row.(u) to t.csr_row.(u + 1) - 1 do
+      let a = t.csr_arc.(slot) in
+      if t.arc_cost.(a) + pu - pi.(t.arc_dst.(a)) = 0 then begin
+        zarc.(!k) <- a;
+        incr k
+      end
+    done
+  done;
+  zrow.(n_nodes) <- !k;
+  !k
+
+(* Dinic blocking flow over the phase's zero-reduced-cost CSR.  BFS
+   levels orient it; the BFS stops after the node whose scan labels
+   the sink, and the other nodes labelled at the sink's level are
+   unlabelled as dead ends.  The DFS uses current-arc pointers.  The BFS frontier and
    both pointer arrays come from the instance scratch — no per-phase
-   allocation. *)
-let blocking_flow t ~source ~sink ~pushes =
-  let pi = t.pi in
-  let admissible a =
-    t.arc_cap.(a) > eps && t.arc_cost.(a) + pi.(t.arc_src.(a)) - pi.(t.arc_dst.(a)) = 0
-  in
+   allocation.  [rounds] counts the BFS level rounds. *)
+let blocking_flow t ~source ~sink ~pushes ~rounds =
+  let zrow = t.zrow and zarc = t.zarc in
   let level = t.level and queue = t.queue and cursor = t.cursor in
   let n_nodes = Array.length level in
   let total_pushed = ref 0.0 in
   let continue_phases = ref true in
   while !continue_phases do
-    (* BFS levels over admissible arcs. *)
+    incr rounds;
+    (* BFS levels over arcs with residual capacity, stopped once the
+       sink is labelled (the sink itself is never queued). *)
     Array.fill level 0 n_nodes (-1);
     level.(source) <- 0;
     queue.(0) <- source;
     let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
+    while level.(sink) < 0 && !head < !tail do
       let u = queue.(!head) in
       incr head;
-      for slot = t.csr_row.(u) to t.csr_row.(u + 1) - 1 do
-        let a = t.csr_arc.(slot) in
-        if admissible a then begin
+      for slot = zrow.(u) to zrow.(u + 1) - 1 do
+        let a = zarc.(slot) in
+        if t.arc_cap.(a) > eps then begin
           let v = t.arc_dst.(a) in
           if level.(v) < 0 then begin
             level.(v) <- level.(u) + 1;
-            queue.(!tail) <- v;
-            incr tail
+            if v <> sink then begin
+              queue.(!tail) <- v;
+              incr tail
+            end
           end
         end
       done
     done;
     if level.(sink) < 0 then continue_phases := false
     else begin
-      Array.blit t.csr_row 0 cursor 0 n_nodes;
+      (* The other nodes labelled at the sink's level are dead ends:
+         unlabel them (they sit at the queue's tail). *)
+      let i = ref (!tail - 1) in
+      while level.(queue.(!i)) = level.(sink) do
+        level.(queue.(!i)) <- -1;
+        decr i
+      done;
+      Array.blit zrow 0 cursor 0 n_nodes;
       (* DFS pushing one augmenting path at a time (paths are short:
          S -> ... -> T through the level graph). *)
       let rec dfs u limit =
         if u = sink then limit
         else begin
           let pushed = ref 0.0 in
-          while !pushed < limit -. eps && cursor.(u) < t.csr_row.(u + 1) do
-            let a = t.csr_arc.(cursor.(u)) in
+          while !pushed < limit -. eps && cursor.(u) < zrow.(u + 1) do
+            let a = zarc.(cursor.(u)) in
             let v = t.arc_dst.(a) in
-            if admissible a && level.(v) = level.(u) + 1 then begin
+            if t.arc_cap.(a) > eps && level.(v) = level.(u) + 1 then begin
               let sent = dfs v (min (limit -. !pushed) t.arc_cap.(a)) in
               if sent > eps then begin
                 t.arc_cap.(a) <- t.arc_cap.(a) -. sent;
@@ -429,6 +482,7 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
     else begin
       let pi = t.pi in
       let phases = ref 0 and settles = ref 0 and pushes = ref 0 in
+      let rounds = ref 0 and compacted = ref 0 in
       let rec drive () =
         if !remaining <= 1e-6 then Ok ()
         else begin
@@ -441,7 +495,8 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
               let dv = if dist.(v) < dt then dist.(v) else dt in
               pi.(v) <- pi.(v) + dv
             done;
-            let pushed = blocking_flow t ~source ~sink ~pushes in
+            compacted := !compacted + compact_zero_cost t ~n_nodes;
+            let pushed = blocking_flow t ~source ~sink ~pushes ~rounds in
             if pushed <= eps then Error Infeasible
             else begin
               remaining := !remaining -. pushed;
@@ -459,6 +514,8 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
         bump "mcmf.phases" !phases;
         bump "mcmf.settles" !settles;
         bump "mcmf.pushes" !pushes;
+        bump "mcmf.dinic_rounds" !rounds;
+        bump "mcmf.admissible_arcs" !compacted;
         bump (if warm_started then "mcmf.warm_starts" else "mcmf.cold_starts") 1
       end;
       match result with

@@ -84,7 +84,10 @@ val solve : ?warm:bool -> ?trace:Lacr_obs.Trace.ctx -> t -> (solution, error) re
     optimum or it is no longer dual-feasible, so it is always safe.
     [trace] (default disabled) accumulates the solve's counters into
     the observability context ([mcmf.solves]/[phases]/[settles]/
-    [pushes]/[warm_starts]/[cold_starts]). *)
+    [pushes]/[warm_starts]/[cold_starts], plus [mcmf.dinic_rounds],
+    the BFS level rounds of the blocking flows, and
+    [mcmf.admissible_arcs], the zero-reduced-cost arcs each phase
+    walks, summed over phases). *)
 
 val last_stats : t -> stats
 (** Counters of the most recent {!solve} (zeroes before the first). *)

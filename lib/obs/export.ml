@@ -5,7 +5,8 @@
      thread_name metadata so the planner track and the pool workers
      are labelled.  Timestamps/durations are microseconds.
    - A flat metrics dump (JSON, or CSV by file extension): counter
-     totals, histogram buckets, and the aggregated span summary.
+     totals, histogram buckets, and the aggregated span summary of the
+     planner track at every depth (one row per (depth, name)).
 
    Plus the validators behind [lacr_cli trace-check] / [make
    smoke-trace]: both outputs must re-parse, trace timestamps must be
@@ -64,6 +65,10 @@ let chrome_trace ctx =
 
 let write_chrome_trace ctx path = Jsonx.write_file path (chrome_trace ctx)
 
+(* The span summary at every depth: a nested stage such as
+   [lac.round] or [feasibility.min_period] gets its own rows. *)
+let all_spans ctx = Trace.span_summary ~max_depth:max_int ctx
+
 let metrics_json ctx =
   let counters =
     List.map (fun (name, total) -> (name, Jsonx.of_int total)) (Trace.counter_totals ctx)
@@ -89,7 +94,7 @@ let metrics_json ctx =
             ("count", Jsonx.of_int count);
             ("total_ms", Jsonx.Num (1000.0 *. seconds));
           ])
-      (Trace.span_summary ctx)
+      (all_spans ctx)
   in
   Jsonx.Obj
     [
@@ -123,7 +128,7 @@ let metrics_csv ctx =
       Buffer.add_string buf
         (Printf.sprintf "span,%s,depth_%d_count_%d,%.3f\n" (esc name) depth count
            (1000.0 *. seconds)))
-    (Trace.span_summary ctx);
+    (all_spans ctx);
   Buffer.contents buf
 
 let write_metrics ctx path =

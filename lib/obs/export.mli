@@ -12,8 +12,10 @@ val write_chrome_trace : Trace.ctx -> string -> unit
 val metrics_json : Trace.ctx -> Jsonx.t
 (** Flat metrics dump: [{schema: 1, counters: {...}, histograms:
     {name: {bounds, counts}}, spans: [{name, depth, count,
-    total_ms}]}].  Counter and histogram totals are the deterministic
-    slot-order merges — bit-identical for every pool size. *)
+    total_ms}]}], with one span row per (depth, name) of the planner
+    track's span tree at every depth.  Counter and histogram totals
+    are the deterministic slot-order merges — bit-identical for every
+    pool size. *)
 
 val metrics_csv : Trace.ctx -> string
 (** CSV projection of the same dump ([kind,name,key,value] rows). *)

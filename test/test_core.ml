@@ -649,3 +649,51 @@ let suite =
       Alcotest.test_case "plan runs one streamed (W,D) pass" `Slow
         test_plan_single_streamed_paths_pass;
     ]
+
+(* The flow solver's work on a whole traced plan, pinned.  These totals
+   count every primal-dual phase, Dijkstra settle and blocking-flow
+   push of both constraint systems' LAC runs, so any change to how a
+   phase walks the residual network must leave them exactly as they
+   are: the per-phase admissible CSR and the sink-level BFS cut visit
+   the same admissible arcs in the same order.  [mcmf.dinic_rounds]
+   (BFS level rounds) and [mcmf.admissible_arcs] (compacted arcs,
+   summed over phases) pin the shape of that walk.  Counters are
+   bit-identical for every [--domains] setting. *)
+let solver_counters ?(domains = 1) name =
+  let netlist = Option.get (Suite.by_name name) in
+  let trace = Lacr_obs.Trace.create () in
+  let config = { Config.default with Config.domains } in
+  match Planner.plan ~config ~trace netlist with
+  | Error msg -> Alcotest.failf "%s plan: %s" name msg
+  | Ok _ ->
+    let totals = Lacr_obs.Trace.counter_totals trace in
+    fun counter -> Option.value ~default:0 (List.assoc_opt counter totals)
+
+let check_solver_work label counter ~solves ~phases ~settles ~pushes ~rounds ~admissible =
+  check_int (label ^ " mcmf.solves") solves (counter "mcmf.solves");
+  check_int (label ^ " mcmf.phases") phases (counter "mcmf.phases");
+  check_int (label ^ " mcmf.settles") settles (counter "mcmf.settles");
+  check_int (label ^ " mcmf.pushes") pushes (counter "mcmf.pushes");
+  check_int (label ^ " mcmf.dinic_rounds") rounds (counter "mcmf.dinic_rounds");
+  check_int (label ^ " mcmf.admissible_arcs") admissible (counter "mcmf.admissible_arcs")
+
+let test_solver_work_pinned_s386 () =
+  List.iter
+    (fun domains ->
+      let counter = solver_counters ~domains "s386" in
+      let label = Printf.sprintf "s386 domains=%d" domains in
+      check_solver_work label counter ~solves:13 ~phases:63 ~settles:19140 ~pushes:28694
+        ~rounds:453 ~admissible:189096)
+    [ 1; 2 ]
+
+let test_solver_work_pinned_s953 () =
+  let counter = solver_counters "s953" in
+  check_solver_work "s953" counter ~solves:46 ~phases:274 ~settles:322191 ~pushes:352259
+    ~rounds:2622 ~admissible:4044596
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "solver work pinned s386" `Slow test_solver_work_pinned_s386;
+      Alcotest.test_case "solver work pinned s953" `Slow test_solver_work_pinned_s953;
+    ]

@@ -540,3 +540,85 @@ let suite =
       Alcotest.test_case "compiled stats warm progression" `Quick
         test_compiled_stats_warm_progression;
     ]
+
+(* --- tie-heavy capacitated instances --------------------------------- *)
+
+(* Arc costs drawn from {0, 1} make most residual arcs zero-reduced-cost
+   at every phase: the compacted admissible CSR each phase walks is
+   large, full of ties, zero-cost 2-cycles and parallel arcs, and
+   saturating pushes keep re-opening reverse arcs inside one phase.
+   Every solve runs with the sanitizer on, so conservation and
+   admissibility are re-checked after each one. *)
+let tie_heavy_instance rng ~n ~n_arcs ~max_cap =
+  let arcs = ref [] in
+  for v = 0 to n - 2 do
+    arcs := (v, v + 1, 1 + Rng.int rng max_cap, Rng.int rng 2) :: !arcs
+  done;
+  for _i = 1 to n_arcs - (n - 1) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then arcs := (u, v, 1 + Rng.int rng max_cap, Rng.int rng 2) :: !arcs
+  done;
+  List.rev !arcs
+
+let build_tie_heavy ~n arcs =
+  let p = Mcmf.create n in
+  List.iter
+    (fun (u, v, cap, cost) ->
+      ignore (Mcmf.add_arc p ~src:u ~dst:v ~capacity:(float_of_int cap) ~cost : int))
+    arcs;
+  p
+
+let tie_heavy_supplies rng n =
+  let s = Array.init n (fun _ -> Rng.int_in rng (-2) 2) in
+  s.(n - 1) <- s.(n - 1) - Array.fold_left ( + ) 0 s;
+  s
+
+let prop_tie_heavy_warm_equals_cold =
+  QCheck2.Test.make ~count:100 ~name:"tie-heavy capacitated: warm potentials equal cold"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      Lacr_util.Sanitize.with_enabled true (fun () ->
+          let rng = Rng.create seed in
+          let n = 4 + Rng.int rng 9 in
+          let arcs = tie_heavy_instance rng ~n ~n_arcs:(3 * n) ~max_cap:4 in
+          let reused = build_tie_heavy ~n arcs in
+          List.for_all
+            (fun _round ->
+              let supplies = tie_heavy_supplies rng n in
+              let fresh = build_tie_heavy ~n arcs in
+              Array.iteri
+                (fun v s ->
+                  Mcmf.set_supply reused v (float_of_int s);
+                  Mcmf.set_supply fresh v (float_of_int s))
+                supplies;
+              match (Mcmf.solve ~warm:true reused, Mcmf.solve fresh) with
+              | Ok w, Ok c ->
+                w.Mcmf.potentials = c.Mcmf.potentials
+                && abs_float (w.Mcmf.total_cost -. c.Mcmf.total_cost) < 1e-9
+              | Error we, Error ce -> we = ce
+              | Ok _, Error _ | Error _, Ok _ -> false)
+            [ 1; 2; 3; 4 ]))
+
+let prop_tie_heavy_matches_brute_force =
+  QCheck2.Test.make ~count:150 ~name:"tie-heavy capacitated: optimum equals brute force"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      Lacr_util.Sanitize.with_enabled true (fun () ->
+          let rng = Rng.create seed in
+          let n = 3 + Rng.int rng 2 in
+          let arcs = tie_heavy_instance rng ~n ~n_arcs:5 ~max_cap:3 in
+          let supplies = tie_heavy_supplies rng n in
+          let p = build_tie_heavy ~n arcs in
+          Array.iteri (fun v s -> Mcmf.add_supply p v (float_of_int s)) supplies;
+          let brute = brute_force_flow ~n ~arcs ~supplies in
+          match Mcmf.solve p with
+          | Ok sol -> abs_float (sol.Mcmf.total_cost -. brute) < 1e-6
+          | Error Mcmf.Infeasible -> brute = infinity
+          | Error _ -> false))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_tie_heavy_warm_equals_cold;
+      QCheck_alcotest.to_alcotest prop_tie_heavy_matches_brute_force;
+    ]

@@ -232,6 +232,41 @@ let test_domains_1_vs_4_metrics_identical () =
   check "counters identical" true (c1 = c4);
   check "histograms identical" true (h1 = h4)
 
+(* The metrics dump carries the span tree at every depth: the nested
+   [lac.round] spans (depth 2 under [lac.retime], depth 3 under the
+   second iteration's) have rows in both the JSON and the CSV, and
+   their counts add up to the [lac.rounds] counter. *)
+let test_metrics_export_full_span_tree () =
+  let ctx = Trace.create () in
+  (match Planner.plan ~trace:ctx (Option.get (Suite.by_name "s386")) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "s386 plan: %s" msg);
+  let rounds = List.assoc "lac.rounds" (Trace.counter_totals ctx) in
+  let doc =
+    match Jsonx.parse (Jsonx.to_string (Export.metrics_json ctx)) with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "metrics json: %s" msg
+  in
+  let rows = Option.get (Option.bind (Jsonx.member "spans" doc) Jsonx.to_list) in
+  let field key row = Option.get (Option.bind (Jsonx.member key row) Jsonx.to_float) in
+  let named name =
+    List.filter (fun row -> Option.bind (Jsonx.member "name" row) Jsonx.to_str = Some name) rows
+  in
+  let round_rows = named "lac.round" in
+  check "lac.round nested at two depths" true (List.length round_rows = 2);
+  check_int "lac.round counts sum to lac.rounds" rounds
+    (List.fold_left (fun acc row -> acc + int_of_float (field "count" row)) 0 round_rows);
+  List.iter
+    (fun name -> check (name ^ " exported") true (named name <> []))
+    [ "plan"; "paths.compute"; "feasibility.min_period"; "constraints.generate"; "lac.compile" ];
+  check "depth-3 rows exported" true (List.exists (fun row -> field "depth" row >= 3.0) rows);
+  let csv_rows =
+    List.filter
+      (fun line -> String.length line > 15 && String.sub line 0 15 = "span,lac.round,")
+      (String.split_on_char '\n' (Export.metrics_csv ctx))
+  in
+  check_int "csv lac.round rows" 2 (List.length csv_rows)
+
 let suite =
   [
     Alcotest.test_case "disabled context is a no-op" `Quick test_disabled_is_noop;
@@ -246,4 +281,5 @@ let suite =
     Alcotest.test_case "metrics exports valid" `Quick test_metrics_exports_valid;
     Alcotest.test_case "tracing changes no planner output" `Slow test_tracing_changes_no_output;
     Alcotest.test_case "domains 1 vs 4 metrics identical" `Slow test_domains_1_vs_4_metrics_identical;
+    Alcotest.test_case "metrics export full span tree" `Slow test_metrics_export_full_span_tree;
   ]
