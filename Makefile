@@ -52,6 +52,7 @@ smoke-trace:
 # sums, tile accounting, CSR shape, span balance).
 smoke-sanitize:
 	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- plan s27
+	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- plan s1423
 
 # Router determinism smoke: the negotiated A* router must produce
 # bit-identical nets/wirelength/overflow at --domains 1, 2 and 4,

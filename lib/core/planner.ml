@@ -135,7 +135,7 @@ let retiming_setup ?pool ?(trace = Obs.disabled) (inst : Build.instance) =
   let extra = inst.Build.pin_constraints in
   let mp =
     Obs.with_span trace ~cat:"core" "feasibility.min_period" (fun () ->
-        Feasibility.min_period ~extra g wd)
+        Feasibility.min_period ~extra ~trace g wd)
   in
   let t_min = mp.Feasibility.period in
   let t_clk = t_min +. (cfg.Config.clk_fraction *. (t_init -. t_min)) in

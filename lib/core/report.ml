@@ -212,7 +212,7 @@ let csv_row r =
 
 let render_trace_summary trace =
   let buf = Buffer.create 1024 in
-  let spans = Lacr_obs.Trace.span_summary ~max_depth:2 trace in
+  let spans = Lacr_obs.Trace.span_summary ~max_depth:max_int trace in
   if spans <> [] then begin
     let open Table in
     let t = create [ ("span", Left); ("count", Right); ("total(ms)", Right) ] in

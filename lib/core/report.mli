@@ -48,6 +48,7 @@ val csv_row : row -> string list
 
 val render_trace_summary : Lacr_obs.Trace.ctx -> string
 (** Human-readable digest of an observability context: span
-    aggregates (indented by nesting depth, with call counts and total
-    wall-clock), counter totals and histogram buckets.  Empty string
-    for a disabled or empty context. *)
+    aggregates at every depth of the planner track (indented by
+    nesting depth, with call counts and total wall-clock; the rows of
+    the metrics dump's span list), counter totals and histogram
+    buckets.  Empty string for a disabled or empty context. *)

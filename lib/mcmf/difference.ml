@@ -4,18 +4,25 @@ type constr = { a : int; b : int; bound : int }
    relaxation dist(a) <= dist(b) + c, i.e. an edge b -> a of weight c.
    Starting every node at 0 emulates a zero-cost virtual source.  The
    relaxation loop runs over flat int arrays: feasibility probes inside
-   min-period binary search hit systems with hundreds of thousands of
-   constraints, where list traversal dominates. *)
-let feasible_arrays ~n ~a ~b ~bound ~m =
-  let dist = Array.make n 0 in
+   the min-period search hit systems with hundreds of thousands of
+   constraints, where list traversal dominates.
+
+   [init] replaces the zero start.  When it is the fixpoint of a
+   subsystem S of this system S', the fixpoint reached is still the
+   cold one: every start value is min(0, min_w dist_S(w, u)) <= 0 and
+   dist_S >= dist_S', so min_u (init(u) + dist_S'(u, v)) collapses to
+   min(0, min_w dist_S'(w, v)). *)
+let feasible_arrays ?init ?rounds:round_count ~n ~a ~b ~bound ~m () =
+  let dist = match init with None -> Array.make n 0 | Some d -> Array.copy d in
   (* Predecessor of the last relaxation into each node: a cycle in
-     this graph implies a negative constraint cycle (exact integer
-     arithmetic, so the classic implication holds with no tolerance
-     caveat).  Checking it once per round after a short warm-up lets
-     infeasible probes exit after about one cycle length of rounds
-     instead of the full n — on 10^5-vertex systems the difference
-     between milliseconds and minutes.  Feasible systems converge
-     exactly as before, so the returned labelling is unchanged. *)
+     this graph implies a negative constraint cycle, whatever the
+     start vector (exact integer arithmetic, so the classic
+     implication holds with no tolerance caveat).  The test is O(n)
+     against the round's O(m), so it runs after every round from the
+     second: an infeasible system exits about one cycle length of
+     rounds after the cycle's first relaxation.  Feasible systems
+     converge exactly as before, so the returned labelling is
+     unchanged. *)
   let pred = Array.make n (-1) in
   let mark = Array.make n 0 in
   let next_base = ref 1 in
@@ -59,8 +66,9 @@ let feasible_arrays ~n ~a ~b ~bound ~m =
         changed := true
       end
     done;
-    if !changed && !rounds > 32 then negative := pred_has_cycle ()
+    if !changed && !rounds >= 2 then negative := pred_has_cycle ()
   done;
+  (match round_count with Some r -> r := !r + !rounds | None -> ());
   if !changed || !negative then None else Some dist
 
 let flatten constraints =
@@ -76,7 +84,7 @@ let flatten constraints =
 
 let feasible ~n constraints =
   let ca, cb, cc, m = flatten constraints in
-  feasible_arrays ~n ~a:ca ~b:cb ~bound:cc ~m
+  feasible_arrays ~n ~a:ca ~b:cb ~bound:cc ~m ()
 
 type objective_error =
   | Infeasible_constraints
@@ -101,7 +109,7 @@ type instance = {
 
 let compile_arrays ~n ?guard ~a:ca ~b:cb ~bound:cbound m =
   let guard = match guard with Some g -> g | None -> (4 * n) + 8 in
-  match feasible_arrays ~n ~a:ca ~b:cb ~bound:cbound ~m with
+  match feasible_arrays ~n ~a:ca ~b:cb ~bound:cbound ~m () with
   | None -> Error Infeasible_constraints
   | Some _ ->
     (* LP dual (cf. Mcmf doc): constraint x(a) - x(b) <= c becomes an

@@ -25,10 +25,33 @@ val feasible : n:int -> constr list -> int array option
     negative cycle. *)
 
 val feasible_arrays :
-  n:int -> a:int array -> b:int array -> bound:int array -> m:int -> int array option
-(** Allocation-free variant of {!feasible} over parallel arrays (the
-    first [m] entries are the system); used by the min-period binary
-    search where probes carry hundreds of thousands of constraints. *)
+  ?init:int array ->
+  ?rounds:int ref ->
+  n:int ->
+  a:int array ->
+  b:int array ->
+  bound:int array ->
+  m:int ->
+  unit ->
+  int array option
+(** Allocation-light variant of {!feasible} over parallel arrays (the
+    first [m] entries are the system); used by the min-period search,
+    whose probes carry hundreds of thousands of constraints.
+
+    [init] (default all zeros, not mutated) is the start vector.  Pass
+    the raw result of an earlier call on a {e subsystem} of this one
+    (the same constraints with some removed) and the result is exactly
+    the cold one — the same vector, or [None] — usually after fewer
+    rounds.  Any other start vector voids that guarantee.
+
+    The predecessor graph is tested for a cycle after every round
+    from the second (O(n) per round against the round's O(m)); a
+    predecessor cycle is a negative constraint cycle whatever the
+    start vector, so an infeasible system is rejected a few rounds
+    after its cycle first relaxes, not after [n] rounds.
+
+    [rounds], when given, is incremented by the number of relaxation
+    rounds this call ran. *)
 
 type objective_error =
   | Infeasible_constraints

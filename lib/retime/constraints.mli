@@ -134,6 +134,6 @@ type compiled = system
 val compile :
   ?extra:Lacr_mcmf.Difference.constr list -> Graph.t -> Paths.wd -> period:float -> compiled
 (** The full unpruned system as parallel arrays, for
-    [Lacr_mcmf.Difference.feasible_arrays] — the min-period binary
-    search path.  Arrays are over-allocated; only the [m]-prefix is
-    live. *)
+    [Lacr_mcmf.Difference.feasible_arrays] — one cold feasibility
+    probe ([Feasibility.feasible]).  Arrays are over-allocated; only
+    the [m]-prefix is live. *)

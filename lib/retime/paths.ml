@@ -133,7 +133,7 @@ let min_weights g source =
    lambda bounds all cycle ratios iff the graph with edge lengths
    [lambda * w(e) - d(src e)] has no negative cycle.
 
-   Besides pruning the min-period binary search, this bound is the
+   Besides pruning the min-period search, this bound is the
    retention threshold of the streamed (W,D) frontier, which is why it
    lives here rather than in [Feasibility] (which re-exports it).
 

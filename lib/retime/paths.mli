@@ -107,14 +107,13 @@ val frontier_weight : frontier -> int -> int -> int option
 (** [W(u,v)] if the pair is retained (binary search within the row). *)
 
 val distinct_delays : wd -> float list
-(** Sorted distinct [D] values — the candidate clock periods for
-    min-period binary search.  Dense: over all reachable pairs;
-    streamed: over the retained frontier.  After the min-period
-    candidate window [bound - 1e-9 <= d <= clock_period + 1e-9]
-    applied by both searches the two backends yield the identical
-    candidate list (the near band is retained in full).  Streams
-    through a flat float buffer with in-place sort and adjacent
-    dedup — no intermediate cons list. *)
+(** Sorted distinct [D] values: over all reachable pairs (dense) or
+    the retained frontier (streamed).  After the min-period candidate
+    window [bound - 1e-9 <= d <= clock_period + 1e-9] the two backends
+    yield the identical list (the near band is retained in full).
+    Used only by the FEAS oracle ({!Feas.min_period}) and its tests:
+    {!Feasibility.min_period} selects its probes from an unsorted
+    candidate array instead. *)
 
 type prune_rows = { rows : (int * int) array array; n_candidates : int }
 (** Source-side prune survivors: [rows.(u)] lists the surviving

@@ -697,3 +697,57 @@ let suite =
       Alcotest.test_case "solver work pinned s386" `Slow test_solver_work_pinned_s386;
       Alcotest.test_case "solver work pinned s953" `Slow test_solver_work_pinned_s953;
     ]
+
+(* Min-period retiming pinned on three suite circuits under
+   [Config.default], at one and two domains: [T_min] (as a hex float)
+   and an MD5 digest of the witness labels, captured from a binary
+   search over the sorted distinct delays with cold probes.  The
+   search's own counters are pinned on s386 and s953; they are
+   identical for every pool size because the search is sequential
+   over a bit-identical frontier. *)
+let min_period_pin ~domains name =
+  let netlist = Option.get (Suite.by_name name) in
+  let config = { Config.default with Config.domains } in
+  Lacr_util.Pool.with_pool ~size:domains (fun pool ->
+      match Build.build ~config ~pool netlist with
+      | Error msg -> Alcotest.failf "%s build: %s" name msg
+      | Ok inst ->
+        let g = inst.Build.graph in
+        let wd = Paths.compute ~pool g in
+        let trace = Lacr_obs.Trace.create () in
+        let mp =
+          Lacr_retime.Feasibility.min_period ~extra:inst.Build.pin_constraints ~trace g wd
+        in
+        let labels =
+          String.concat "," (Array.to_list (Array.map string_of_int mp.Lacr_retime.Feasibility.labels))
+        in
+        let totals = Lacr_obs.Trace.counter_totals trace in
+        let counter c = Option.value ~default:0 (List.assoc_opt c totals) in
+        ( Printf.sprintf "%h" mp.Lacr_retime.Feasibility.period,
+          Digest.to_hex (Digest.string labels),
+          (counter "feasibility.candidates", counter "feasibility.probes",
+           counter "feasibility.relax_rounds") ))
+
+let check_min_period_pin name ~t_min ~digest ?counters () =
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "%s domains=%d" name domains in
+      let got_t_min, got_digest, (cand, probes, rounds) = min_period_pin ~domains name in
+      Alcotest.(check string) (label ^ " T_min") t_min got_t_min;
+      Alcotest.(check string) (label ^ " label digest") digest got_digest;
+      match counters with
+      | None -> ()
+      | Some (c, p, r) ->
+        check_int (label ^ " feasibility.candidates") c cand;
+        check_int (label ^ " feasibility.probes") p probes;
+        check_int (label ^ " feasibility.relax_rounds") r rounds)
+    [ 1; 2 ]
+
+let test_min_period_pinned () =
+  check_min_period_pin "s386" ~t_min:"0x1.022817c816804p+5" ~digest:"dd11051d053497c3072db9d5cca72627"
+    ~counters:(21958, 13, 24) ();
+  check_min_period_pin "s953" ~t_min:"0x1.9249fa3d60386p+5" ~digest:"ebec17df39a037935405404d27197b83"
+    ~counters:(289039, 18, 35) ();
+  check_min_period_pin "s1423" ~t_min:"0x1.93be72cc4ccc8p+6" ~digest:"dedc26ac6fdf93ec3076c9cfc9e94661" ()
+
+let suite = suite @ [ Alcotest.test_case "min-period pinned" `Slow test_min_period_pinned ]

@@ -622,3 +622,61 @@ let suite =
       QCheck_alcotest.to_alcotest prop_tie_heavy_warm_equals_cold;
       QCheck_alcotest.to_alcotest prop_tie_heavy_matches_brute_force;
     ]
+
+(* --- warm-started feasibility --------------------------------------- *)
+
+(* [feasible_arrays ~init] from the fixpoint of a subsystem S must land
+   on exactly the cold result of the superset S' — the same distance
+   vector, or [None] when S' has a negative cycle.  S' lists its
+   constraints in shuffled order, so S is not a prefix of it. *)
+let prop_warm_start_exact =
+  QCheck2.Test.make ~count:300 ~name:"warm-started feasibility equals cold on supersets"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 10 in
+      let m' = Rng.int rng (3 * n) in
+      let a = Array.init m' (fun _ -> Rng.int rng n) in
+      let b = Array.init m' (fun _ -> Rng.int rng n) in
+      let bound = Array.init m' (fun _ -> Rng.int_in rng (-2) 5) in
+      let in_s = Array.init m' (fun _ -> Rng.int rng 2 = 0) in
+      let sub keep arr = Array.of_list (List.filteri (fun i _ -> keep i) (Array.to_list arr)) in
+      let sa = sub (fun i -> in_s.(i)) a
+      and sb = sub (fun i -> in_s.(i)) b
+      and sbound = sub (fun i -> in_s.(i)) bound in
+      let order = Array.init m' Fun.id in
+      Rng.shuffle rng order;
+      let pa = Array.map (fun i -> a.(i)) order
+      and pb = Array.map (fun i -> b.(i)) order
+      and pbound = Array.map (fun i -> bound.(i)) order in
+      let cold = Difference.feasible_arrays ~n ~a:pa ~b:pb ~bound:pbound ~m:m' () in
+      match
+        Difference.feasible_arrays ~n ~a:sa ~b:sb ~bound:sbound ~m:(Array.length sa) ()
+      with
+      | None -> cold = None
+      | Some init ->
+        let init_copy = Array.copy init in
+        let warm = Difference.feasible_arrays ~init ~n ~a:pa ~b:pb ~bound:pbound ~m:m' () in
+        cold = warm && init = init_copy)
+
+(* The predecessor-cycle test runs from the second round: a negative
+   2-cycle on a 200-node system is rejected within 3 rounds (the old
+   round-32 warm-up ran 33). *)
+let test_negative_cycle_early_exit () =
+  let n = 200 in
+  let chain = List.init (n - 1) (fun v -> { Difference.a = v + 1; b = v; bound = 1 }) in
+  let cs = chain @ [ { Difference.a = 0; b = 1; bound = -1 }; { Difference.a = 1; b = 0; bound = 0 } ] in
+  let a = Array.of_list (List.map (fun c -> c.Difference.a) cs)
+  and b = Array.of_list (List.map (fun c -> c.Difference.b) cs)
+  and bound = Array.of_list (List.map (fun c -> c.Difference.bound) cs) in
+  let rounds = ref 0 in
+  check "negative cycle rejected" true
+    (Difference.feasible_arrays ~rounds ~n ~a ~b ~bound ~m:(Array.length a) () = None);
+  check "within 3 rounds" true (!rounds <= 3)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_warm_start_exact;
+      Alcotest.test_case "negative cycle rejected early" `Quick test_negative_cycle_early_exit;
+    ]

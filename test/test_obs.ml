@@ -267,6 +267,28 @@ let test_metrics_export_full_span_tree () =
   in
   check_int "csv lac.round rows" 2 (List.length csv_rows)
 
+(* [lacr plan]'s span table prints every depth too: on s953 (30 LAC
+   rounds in the first iteration, 16 in the second, at depth 3) the
+   table's [lac.round] rows add up to the [lac.rounds] counter. *)
+let test_plan_summary_full_depth () =
+  let ctx = Trace.create () in
+  (match Planner.plan ~trace:ctx (Option.get (Suite.by_name "s953")) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "s953 plan: %s" msg);
+  let rounds = List.assoc "lac.rounds" (Trace.counter_totals ctx) in
+  let cells line = List.map String.trim (String.split_on_char '|' line) in
+  let round_counts =
+    List.filter_map
+      (fun line ->
+        match cells line with
+        | [ "lac.round"; count; _ ] -> Some (int_of_string count)
+        | _ -> None)
+      (String.split_on_char '\n' (Lacr_core.Report.render_trace_summary ctx))
+  in
+  check "lac.round rows at two depths" true (List.length round_counts = 2);
+  check_int "table lac.round rows sum to lac.rounds" rounds
+    (List.fold_left ( + ) 0 round_counts)
+
 let suite =
   [
     Alcotest.test_case "disabled context is a no-op" `Quick test_disabled_is_noop;
@@ -282,4 +304,5 @@ let suite =
     Alcotest.test_case "tracing changes no planner output" `Slow test_tracing_changes_no_output;
     Alcotest.test_case "domains 1 vs 4 metrics identical" `Slow test_domains_1_vs_4_metrics_identical;
     Alcotest.test_case "metrics export full span tree" `Slow test_metrics_export_full_span_tree;
+    Alcotest.test_case "plan summary full depth" `Slow test_plan_summary_full_depth;
   ]

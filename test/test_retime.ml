@@ -639,7 +639,7 @@ let prop_stream_dense_identical =
       let periods = [ t_min; t_min +. (0.2 *. (t_init -. t_min)); t_init ] in
       let dist_of (c : Constraints.compiled) =
         Lacr_mcmf.Difference.feasible_arrays ~n:(Graph.num_vertices g) ~a:c.Constraints.ca
-          ~b:c.Constraints.cb ~bound:c.Constraints.cbound ~m:c.Constraints.m
+          ~b:c.Constraints.cb ~bound:c.Constraints.cbound ~m:c.Constraints.m ()
       in
       List.for_all
         (fun size ->
@@ -835,3 +835,35 @@ let suite =
       Alcotest.test_case "flat == reference list on ISCAS pins" `Slow
         test_flat_matches_reference_on_iscas;
     ]
+
+(* The selection search against independent references, on both
+   backends: its period is FEAS's (a different algorithm over the
+   sorted candidate list), and its labels are those of one cold
+   Bellman-Ford probe at that period — with and without extra
+   constraints (vertex 1 pinned to the host, as I/O pins are). *)
+let prop_min_period_matches_cold_references =
+  QCheck.Test.make ~name:"min-period search == FEAS period and cold-probe labels" ~count:60
+    QCheck.(pair (int_range 3 20) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let g = random_graph (Rng.create seed) n in
+      let host = Graph.host g in
+      let pin =
+        [
+          { Lacr_mcmf.Difference.a = 1; b = host; bound = 0 };
+          { Lacr_mcmf.Difference.a = host; b = 1; bound = 0 };
+        ]
+      in
+      List.for_all
+        (fun mode ->
+          let wd = Paths.compute ~mode g in
+          let mp = Feasibility.min_period g wd in
+          let feas = Feas.min_period g wd in
+          let cold_labels extra (r : Feasibility.min_period_result) =
+            Feasibility.feasible ~extra g wd ~period:r.Feasibility.period = Some r.Feasibility.labels
+          in
+          let pinned = Feasibility.min_period ~extra:pin g wd in
+          Float.equal mp.Feasibility.period feas.Feasibility.period
+          && cold_labels [] mp && cold_labels pin pinned)
+        [ Paths.Mode.Dense; Paths.Mode.Stream ])
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_min_period_matches_cold_references ]

@@ -90,6 +90,33 @@ let test_cycle_sums () =
   expect_violation "retime.cycle_sum" (fun () -> run [| 1; 1; 0 |]);
   expect_violation "retime.cycle_sum" (fun () -> run [| 0; 0; 0 |])
 
+(* The min-period witness is checked against the graph: the
+   Leiserson-Saxe correlator (T_init 24, T_min 13) passes with its own
+   witness, and fails both with an illegal labelling and with a legal
+   one (the identity) that misses the period. *)
+let test_min_period_witness () =
+  let e src dst weight = { Graph.src; dst; weight } in
+  let g =
+    Graph.create
+      ~delays:[| 0.0; 3.0; 3.0; 3.0; 3.0; 7.0; 7.0; 7.0 |]
+      ~edges:
+        [
+          e 0 1 1; e 1 2 1; e 2 3 1; e 3 4 1; e 4 5 0; e 5 6 0; e 6 7 0; e 7 0 0; e 3 5 0;
+          e 2 6 0; e 1 7 0;
+        ]
+      ~host:0
+  in
+  let module F = Lacr_retime.Feasibility in
+  let mp = S.with_enabled true (fun () -> F.min_period g (Paths.compute g)) in
+  check "T_min" true (Float.equal mp.F.period 13.0);
+  F.check_witness g ~period:13.0 mp.F.labels;
+  let illegal = Array.copy mp.F.labels in
+  illegal.(1) <- illegal.(1) + 5;
+  expect_violation "retime.min_period_witness" (fun () ->
+      F.check_witness g ~period:13.0 illegal);
+  expect_violation "retime.min_period_witness" (fun () ->
+      F.check_witness g ~period:13.0 (Array.make (Graph.num_vertices g) 0))
+
 (* --- end-to-end: the sanitized pipeline accepts clean runs --- *)
 
 let saturated_problem () =
@@ -151,6 +178,7 @@ let suite =
     Alcotest.test_case "flow conservation corruption caught" `Quick test_flow_conservation;
     Alcotest.test_case "admissibility corruption caught" `Quick test_admissibility;
     Alcotest.test_case "retiming cycle-sum corruption caught" `Quick test_cycle_sums;
+    Alcotest.test_case "min-period witness corruption caught" `Quick test_min_period_witness;
     Alcotest.test_case "LAC clean under sanitizer" `Quick test_lac_clean_under_sanitizer;
     Alcotest.test_case "sanitized s27 plan bit-identical" `Slow test_plan_identity_s27;
     Alcotest.test_case "sanitized s386 plan bit-identical" `Slow test_plan_identity_s386;
